@@ -8,27 +8,29 @@
 //!
 //! # Benchmark mode
 //!
-//! `repro_crashsim --bench` races the three engine configurations over
-//! the same workloads —
+//! `repro_crashsim --bench` races two legs over the same workloads —
 //!
-//! * `sequential`: the legacy baseline (full per-point replay, one
-//!   thread, no verdict cache);
-//! * `parallel`: rolling CoW materialisation + the classification
-//!   worker pool;
-//! * `parallel_cached`: the same plus image-digest verdict caching —
+//! * `sequential`: the reference explorer (every schedule replayed in
+//!   full and classified, one thread, no dedup);
+//! * `parallel_cached`: the engine (schedules planned and deduplicated
+//!   from the trace, representatives built on a rolling CoW device and
+//!   classified on the worker pool) —
 //!
-//! verifies all three produce identical reports (canonical signature),
-//! and writes the timings to `BENCH_crashsim.json` (`--out PATH` to
-//! redirect). `--smoke` shrinks the run for CI gates; `--threads N`
-//! pins the worker count (default: one per core).
+//! verifies both produce identical reports (canonical signature), and
+//! writes the timings to `BENCH_crashsim.json` (`--out PATH` to
+//! redirect). The corpus section races the reference against the
+//! engine with a cold and then a warm persistent store. `--smoke`
+//! shrinks the run for CI gates; `--threads N` pins the worker count
+//! (default: one per core).
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use blockdev::DeviceError;
 use crashsim::{
-    defrag_workload, explore, figure1_resize_workload, format_workload, generated_corpus,
-    journaled_write_workload, CrashReport, ExploreOptions, ExploreStats, OutcomeCore,
-    StoreOpenReport, Verdict, VerdictCounts, VerdictStore, Workload,
+    defrag_workload, explore, explore_reference, figure1_resize_workload, format_workload,
+    generated_corpus, journaled_write_workload, CrashReport, ExploreOptions, ExploreStats,
+    OutcomeCore, StoreOpenReport, Verdict, VerdictCounts, VerdictStore, Workload,
 };
 use serde::Serialize;
 
@@ -68,29 +70,36 @@ struct Summary {
     entries: Vec<Entry>,
 }
 
-/// One engine configuration's measured run over one workload.
-#[derive(Serialize)]
-struct BenchConfig {
+/// An explorer under test: the engine or the reference.
+type Explorer = fn(&Workload, &ExploreOptions) -> Result<CrashReport, DeviceError>;
+
+/// One leg's measured run over one workload.
+#[derive(Serialize, Default)]
+struct Leg {
     wall_ms: f64,
     blocks_replayed: u64,
     images_classified: usize,
-    cache_hits: usize,
+    schedules_pruned: usize,
+    por_classes: usize,
+    store_hits: usize,
+    store_misses: usize,
     threads: usize,
 }
 
-impl BenchConfig {
-    /// Explores `reps` times with `opts` and keeps the fastest wall
-    /// time (the runs are deterministic, so the I/O stats and the
-    /// report are identical across repetitions).
+impl Leg {
+    /// Explores `reps` times and keeps the fastest wall time (the runs
+    /// are deterministic, so the stats and the report are identical
+    /// across repetitions unless a store warms up between them).
     fn measure(
         workload: &Workload,
+        explorer: Explorer,
         opts: &ExploreOptions,
         reps: usize,
-    ) -> (BenchConfig, CrashReport) {
+    ) -> (Leg, CrashReport) {
         let mut best: Option<(f64, CrashReport)> = None;
         for _ in 0..reps.max(1) {
             let start = Instant::now();
-            let report = explore(workload, opts).unwrap_or_else(|e| {
+            let report = explorer(workload, opts).unwrap_or_else(|e| {
                 eprintln!("exploration of '{}' failed: {e}", workload.name);
                 std::process::exit(1);
             });
@@ -102,11 +111,14 @@ impl BenchConfig {
         let (wall_ms, report) = best.expect("at least one repetition ran");
         let s = report.stats;
         (
-            BenchConfig {
+            Leg {
                 wall_ms,
                 blocks_replayed: s.blocks_replayed,
                 images_classified: s.images_classified,
-                cache_hits: s.cache_hits,
+                schedules_pruned: s.schedules_pruned,
+                por_classes: s.por_classes,
+                store_hits: s.store_hits,
+                store_misses: s.store_misses,
                 threads: s.threads,
             },
             report,
@@ -114,17 +126,15 @@ impl BenchConfig {
     }
 }
 
-/// Per-workload comparison of the three engine configurations.
+/// Per-workload comparison of the reference and the engine.
 #[derive(Serialize)]
 struct BenchRow {
     workload: String,
     writes: usize,
     flushes: usize,
     crash_points: usize,
-    sequential: BenchConfig,
-    parallel: BenchConfig,
-    parallel_cached: BenchConfig,
-    wall_speedup_parallel: f64,
+    sequential: Leg,
+    parallel_cached: Leg,
     wall_speedup_cached: f64,
     reports_identical: bool,
 }
@@ -132,12 +142,10 @@ struct BenchRow {
 #[derive(Serialize)]
 struct BenchTotals {
     sequential_wall_ms: f64,
-    parallel_wall_ms: f64,
     parallel_cached_wall_ms: f64,
     sequential_blocks_replayed: u64,
-    incremental_blocks_replayed: u64,
-    cache_hits: usize,
-    wall_speedup_parallel: f64,
+    engine_blocks_replayed: u64,
+    schedules_pruned: usize,
     wall_speedup_cached: f64,
 }
 
@@ -152,55 +160,17 @@ struct BenchSummary {
     corpus: CorpusSummary,
 }
 
-/// One corpus leg's measured run (a single repetition: the persistent
-/// store makes repeated runs non-equivalent by design).
-#[derive(Serialize)]
-struct CorpusLeg {
-    wall_ms: f64,
-    blocks_replayed: u64,
-    images_classified: usize,
-    schedules_pruned: usize,
-    por_classes: usize,
-    store_hits: usize,
-    store_misses: usize,
-    cache_hits: usize,
-}
-
-impl CorpusLeg {
-    fn measure(workload: &Workload, opts: &ExploreOptions) -> (CorpusLeg, CrashReport) {
-        let start = Instant::now();
-        let report = explore(workload, opts).unwrap_or_else(|e| {
-            eprintln!("corpus exploration of '{}' failed: {e}", workload.name);
-            std::process::exit(1);
-        });
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let s = report.stats;
-        (
-            CorpusLeg {
-                wall_ms,
-                blocks_replayed: s.blocks_replayed,
-                images_classified: s.images_classified,
-                schedules_pruned: s.schedules_pruned,
-                por_classes: s.por_classes,
-                store_hits: s.store_hits,
-                store_misses: s.store_misses,
-                cache_hits: s.cache_hits,
-            },
-            report,
-        )
-    }
-}
-
-/// Full enumeration vs POR vs POR over a warm store, per corpus entry.
+/// The reference vs the engine over a cold and then a warm store, per
+/// corpus entry.
 #[derive(Serialize)]
 struct CorpusRow {
     workload: String,
     writes: usize,
     flushes: usize,
     schedules_enumerated: usize,
-    exhaustive: CorpusLeg,
-    por_cold: CorpusLeg,
-    por_warm: CorpusLeg,
+    exhaustive: Leg,
+    por_cold: Leg,
+    por_warm: Leg,
     prune_ratio: f64,
     wall_speedup_por: f64,
     wall_speedup_warm: f64,
@@ -241,11 +211,11 @@ struct CorpusSummary {
     warm_run_clean: bool,
 }
 
-/// Races full deep-reorder enumeration against the POR engine (cold
-/// store, then a second warm run over the persisted verdicts) on a
-/// generated multi-op corpus. Exits nonzero if any pruned run's
-/// canonical signature or verdict-class counts diverge from the
-/// exhaustive run.
+/// Races the reference explorer's full deep-reorder enumeration against
+/// the engine (cold store, then a second warm run over the persisted
+/// verdicts) on a generated multi-op corpus. Exits nonzero if any
+/// engine run's canonical signature or verdict-class counts diverge
+/// from the reference.
 fn run_corpus(smoke: bool, threads: usize, store_path: &std::path::Path) -> CorpusSummary {
     let (count, ops, batch) = if smoke { (2, 6, 2) } else { (3, 16, 4) };
     let corpus = generated_corpus(0xC0FFEE, count, ops, batch).unwrap_or_else(|e| {
@@ -271,8 +241,11 @@ fn run_corpus(smoke: bool, threads: usize, store_path: &std::path::Path) -> Corp
             workload.trace.write_count(),
             workload.trace.flush_count()
         );
-        let (exhaustive, ex_report) = CorpusLeg::measure(workload, &exhaustive_opts);
-        let (por_cold, cold_report) = CorpusLeg::measure(workload, &cold_opts);
+        // one repetition per leg: the store makes repeated runs
+        // non-equivalent by design
+        let (exhaustive, ex_report) =
+            Leg::measure(workload, explore_reference, &exhaustive_opts, 1);
+        let (por_cold, cold_report) = Leg::measure(workload, explore, &cold_opts, 1);
         reports.push((ex_report, cold_report));
         rows.push(CorpusRow {
             workload: workload.name.clone(),
@@ -284,16 +257,7 @@ fn run_corpus(smoke: bool, threads: usize, store_path: &std::path::Path) -> Corp
             wall_speedup_warm: 0.0,
             exhaustive,
             por_cold,
-            por_warm: CorpusLeg {
-                wall_ms: 0.0,
-                blocks_replayed: 0,
-                images_classified: 0,
-                schedules_pruned: 0,
-                por_classes: 0,
-                store_hits: 0,
-                store_misses: 0,
-                cache_hits: 0,
-            },
+            por_warm: Leg::default(),
             reports_identical: false,
             verdict_counts_identical: false,
         });
@@ -314,7 +278,7 @@ fn run_corpus(smoke: bool, threads: usize, store_path: &std::path::Path) -> Corp
     for ((row, workload), (ex_report, cold_report)) in
         rows.iter_mut().zip(&corpus).zip(&reports)
     {
-        let (por_warm, warm_report) = CorpusLeg::measure(workload, &warm_opts);
+        let (por_warm, warm_report) = Leg::measure(workload, explore, &warm_opts, 1);
         row.por_warm = por_warm;
         row.schedules_enumerated = ex_report.outcomes.len();
         row.prune_ratio =
@@ -375,9 +339,10 @@ fn run_corpus(smoke: bool, threads: usize, store_path: &std::path::Path) -> Corp
     );
 
     CorpusSummary {
-        description: "corpus-scale crash exploration: full deep-reorder enumeration vs \
-                      partial-order reduction (cold persistent store) vs POR over the warm \
-                      store, on generated multi-op workloads under journal group commit"
+        description: "corpus-scale crash exploration: the reference explorer's full \
+                      deep-reorder enumeration vs the engine over a cold persistent store vs \
+                      the engine over the warm store, on generated multi-op workloads under \
+                      journal group commit"
             .to_string(),
         store_path: store_path.display().to_string(),
         cold_store_open,
@@ -423,14 +388,7 @@ fn build_workloads(smoke: bool) -> Vec<Workload> {
 fn run_bench(smoke: bool, threads: usize, out: &str, store_path: Option<&str>) {
     let cap = if smoke { 8 } else { 64 };
     let reps = if smoke { 1 } else { 3 };
-    let sequential_opts = ExploreOptions {
-        max_prefix_points: Some(cap),
-        ..ExploreOptions::sequential_baseline()
-    };
-    let parallel_opts = ExploreOptions {
-        verdict_cache: false,
-        ..ExploreOptions::sampled(cap).with_threads(threads)
-    };
+    let sequential_opts = ExploreOptions::sampled(cap);
     let cached_opts = ExploreOptions::sampled(cap).with_threads(threads);
 
     let mut rows = Vec::new();
@@ -442,32 +400,28 @@ fn run_bench(smoke: bool, threads: usize, out: &str, store_path: Option<&str>) {
             workload.trace.write_count(),
             workload.trace.flush_count()
         );
-        let (sequential, seq_report) = BenchConfig::measure(&workload, &sequential_opts, reps);
-        let (parallel, par_report) = BenchConfig::measure(&workload, &parallel_opts, reps);
+        let (sequential, seq_report) =
+            Leg::measure(&workload, explore_reference, &sequential_opts, reps);
         let (parallel_cached, cached_report) =
-            BenchConfig::measure(&workload, &cached_opts, reps);
-        let identical = seq_report.canonical_signature() == par_report.canonical_signature()
-            && seq_report.canonical_signature() == cached_report.canonical_signature();
+            Leg::measure(&workload, explore, &cached_opts, reps);
+        let identical = seq_report.canonical_signature() == cached_report.canonical_signature();
         all_identical &= identical;
         eprintln!(
-            "  sequential {:.1} ms ({} blocks) | parallel {:.1} ms | cached {:.1} ms \
-             ({} blocks, {} cache hits) | identical: {identical}",
+            "  reference {:.1} ms ({} blocks) | engine {:.1} ms ({} blocks, {} schedules \
+             pruned) | identical: {identical}",
             sequential.wall_ms,
             sequential.blocks_replayed,
-            parallel.wall_ms,
             parallel_cached.wall_ms,
             parallel_cached.blocks_replayed,
-            parallel_cached.cache_hits,
+            parallel_cached.schedules_pruned,
         );
         rows.push(BenchRow {
             workload: workload.name.clone(),
             writes: seq_report.writes,
             flushes: seq_report.flushes,
             crash_points: seq_report.outcomes.len(),
-            wall_speedup_parallel: sequential.wall_ms / parallel.wall_ms.max(f64::EPSILON),
             wall_speedup_cached: sequential.wall_ms / parallel_cached.wall_ms.max(f64::EPSILON),
             sequential,
-            parallel,
             parallel_cached,
             reports_identical: identical,
         });
@@ -476,30 +430,22 @@ fn run_bench(smoke: bool, threads: usize, out: &str, store_path: Option<&str>) {
     let sum = |f: fn(&BenchRow) -> f64| rows.iter().map(f).sum::<f64>();
     let totals = BenchTotals {
         sequential_wall_ms: sum(|r| r.sequential.wall_ms),
-        parallel_wall_ms: sum(|r| r.parallel.wall_ms),
         parallel_cached_wall_ms: sum(|r| r.parallel_cached.wall_ms),
         sequential_blocks_replayed: rows.iter().map(|r| r.sequential.blocks_replayed).sum(),
-        incremental_blocks_replayed: rows
-            .iter()
-            .map(|r| r.parallel_cached.blocks_replayed)
-            .sum(),
-        cache_hits: rows.iter().map(|r| r.parallel_cached.cache_hits).sum(),
-        wall_speedup_parallel: sum(|r| r.sequential.wall_ms)
-            / sum(|r| r.parallel.wall_ms).max(f64::EPSILON),
+        engine_blocks_replayed: rows.iter().map(|r| r.parallel_cached.blocks_replayed).sum(),
+        schedules_pruned: rows.iter().map(|r| r.parallel_cached.schedules_pruned).sum(),
         wall_speedup_cached: sum(|r| r.sequential.wall_ms)
             / sum(|r| r.parallel_cached.wall_ms).max(f64::EPSILON),
     };
     eprintln!(
-        "total: sequential {:.1} ms / {} blocks -> parallel {:.1} ms ({:.2}x) -> \
-         cached {:.1} ms ({:.2}x) / {} blocks, {} cache hits",
+        "total: reference {:.1} ms / {} blocks -> engine {:.1} ms ({:.2}x) / {} blocks, \
+         {} schedules pruned",
         totals.sequential_wall_ms,
         totals.sequential_blocks_replayed,
-        totals.parallel_wall_ms,
-        totals.wall_speedup_parallel,
         totals.parallel_cached_wall_ms,
         totals.wall_speedup_cached,
-        totals.incremental_blocks_replayed,
-        totals.cache_hits,
+        totals.engine_blocks_replayed,
+        totals.schedules_pruned,
     );
 
     let default_store = std::env::temp_dir().join("crashsim_corpus.vstore");
@@ -511,10 +457,10 @@ fn run_bench(smoke: bool, threads: usize, out: &str, store_path: Option<&str>) {
     let corpus_warm_clean = corpus.warm_run_clean;
 
     let summary = BenchSummary {
-        description: "crash-exploration engine benchmark: legacy sequential replay vs rolling \
-                      CoW materialisation with a classification worker pool, without and with \
-                      image-digest verdict caching; plus corpus-scale partial-order reduction \
-                      over a persistent verdict store"
+        description: "crash-exploration benchmark: the sequential replay reference vs the \
+                      engine (trace-planned digest dedup, representatives built on a rolling \
+                      CoW device, classification worker pool); plus the corpus-scale race over \
+                      a persistent verdict store"
             .to_string(),
         smoke,
         prefix_points_cap: cap,
@@ -533,14 +479,14 @@ fn run_bench(smoke: bool, threads: usize, out: &str, store_path: Option<&str>) {
     }
     eprintln!("wrote {out}");
     if !all_identical {
-        eprintln!("ERROR: engine configurations disagreed on at least one report");
+        eprintln!("ERROR: the engine and the reference disagreed on at least one report");
         std::process::exit(1);
     }
     if !corpus_ok {
         if !corpus_warm_clean {
             eprintln!("ERROR: warm-store corpus run still materialised or classified images");
         } else {
-            eprintln!("ERROR: a pruned corpus run diverged from the exhaustive enumeration");
+            eprintln!("ERROR: an engine corpus run diverged from the reference enumeration");
         }
         std::process::exit(1);
     }

@@ -4,8 +4,7 @@
 //! fan-outs over independent items — crash-image classification in
 //! `crashsim`, configuration campaigns in ConBugCk, component analysis
 //! in `confdep`. This crate sits below all of them (it depends only on
-//! `crossbeam`), so both `confdep` and `contools` can share one pool;
-//! `contools::pool` re-exports it under the original path.
+//! `crossbeam`), so both `confdep` and `contools` can share one pool.
 //! [`parallel_map`] packages the shared pattern once:
 //! items are pulled from a work queue by `threads` crossbeam scoped
 //! workers, and the results are re-assembled **in input order**, so a

@@ -429,7 +429,7 @@ pub fn campaign_parallel(configs: &[GeneratedConfig], threads: usize) -> ConfigC
         });
         slots.push(idx);
     }
-    let depths = crate::pool::parallel_map(uniques, threads, |_, cfg| execute(&cfg));
+    let depths = conpool::parallel_map(uniques, threads, |_, cfg| execute(&cfg));
     let mut c = tally(slots.into_iter().map(|i| depths[i]));
     c.executed = depths.len();
     c

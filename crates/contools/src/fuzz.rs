@@ -35,13 +35,13 @@ use std::time::Instant;
 use blockdev::{store_context, ImageDigest, VerdictStore};
 use confdep::solve::{Polarity, SolvedConfig, Solver, SolverScope};
 use confdep::{ConstraintSet, Verdict};
+use conpool::parallel_map;
 use e2fstools::typed::{TypedConfig, TypedValue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::conbugck::{execute, ConBugCk, GeneratedConfig, RunDepth};
-use crate::pool::parallel_map;
 
 /// Store context tag: campaign semantics version. Bump on any change to
 /// the executor or the state-key format.

@@ -13,15 +13,14 @@
 //!   violating the extracted dependencies, so test runs get past shallow
 //!   validation and exercise deep code under many configuration states.
 //!
-//! [`pool`] carries the shared scoped worker pool these applications
-//! (and the `crashsim` explorer) fan their independent work out on.
+//! Their independent work fans out on the shared [`conpool`] worker
+//! pool.
 
 pub mod conbugck;
 pub mod condocck;
 pub mod conhandleck;
 pub mod f2fs;
 pub mod fuzz;
-pub mod pool;
 
 pub use conbugck::{
     campaign, campaign_parallel, coverage, execute, execute_with_policy, generate_naive, ConBugCk,

@@ -18,36 +18,51 @@
 //!
 //! # Engine
 //!
-//! Materialisation is **incremental** by default: one rolling
-//! [`CowDevice`] advances write-by-write (O(W) block writes for the
-//! whole trace) and every crash point freezes a copy-on-write
-//! [`CowDevice::snapshot`] instead of replaying its prefix from
-//! scratch (O(W²) in total). Classification of the independent images
-//! fans out across a scoped worker pool ([`ExploreOptions::threads`])
-//! with a deterministic input-order merge, and verdicts are memoised by
-//! image content digest ([`ExploreOptions::verdict_cache`]): torn and
-//! reordered variants frequently collapse to byte-identical images, so
-//! the recovery stack only ever sees each distinct image once. The
-//! legacy full-replay engine survives as
-//! [`ExploreOptions::sequential_baseline`] — the benchmark's reference
-//! point — and produces an identical report.
+//! [`explore`] runs one pipeline:
+//!
+//! 1. **Plan.** Every schedule's image digest is computed straight from
+//!    the trace, with nothing materialised: each recorded write carries
+//!    its pre-image and [`ImageDigest`] is a commutative per-block sum,
+//!    so a rolling contribution swap yields every image's identity.
+//! 2. **Dedup.** Schedules whose (digest, applicable durability
+//!    expectations) match an earlier one share its verdict — torn and
+//!    reordered variants often collapse onto byte-identical images, and
+//!    writes that commute (distinct blocks, no barrier between them)
+//!    sum to the same digest by construction. Surviving classes are
+//!    then looked up in the persistent store, if one is attached.
+//! 3. **Build.** Only the class representatives still unanswered are
+//!    materialised, in one pass of a rolling [`CowDevice`] that advances
+//!    write by write and freezes copy-on-write snapshots; the pass stops
+//!    after the last representative and is skipped when none is left,
+//!    so a store-warm run never touches a device. Each snapshot's
+//!    tracked digest must equal its planned one (a hard assertion, in
+//!    release builds too).
+//! 4. **Classify.** The representatives fan out across a scoped worker
+//!    pool ([`ExploreOptions::threads`]) and the verdicts are merged
+//!    back in enumeration order.
+//!
+//! The reference explorer (feature `oracle`) replays every schedule
+//! from the pre-workload image and classifies it without dedup; the
+//! equivalence tests hold this engine to it outcome for outcome.
 
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use blockdev::{
-    block_contribution, digest_device, BlockDevice, CowDevice, DeviceError, ImageDigest, IoEvent,
-    IoStats, MemDevice, StatsDevice, VerdictStore,
+    block_contribution, digest_device, BlockContribution, BlockDevice, CowDevice, DeviceError,
+    ImageDigest, IoEvent, IoStats, StatsDevice, StoreKey, VerdictStore,
 };
-use contools::pool::{effective_threads, parallel_map};
+use conpool::{effective_threads, parallel_map};
 use e2fstools::{E2fsck, FsckMode};
 use ext4sim::{Ext4Fs, InodeNo, MountOptions};
 
-use crate::report::{CrashKind, CrashOutcome, CrashReport, ExploreStats, OutcomeCore, Verdict};
+use crate::report::{CrashKind, CrashReport, ExploreStats, OutcomeCore, Verdict};
 use crate::workloads::Workload;
 
-/// Which crash models to enumerate, how densely, and how the engine
-/// materialises and classifies the images.
+/// Which crash models to enumerate, how densely, and how many workers
+/// classify the images.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
     /// Add a torn variant of each explored prefix's final write.
@@ -62,29 +77,13 @@ pub struct ExploreOptions {
     /// Classification worker threads: `1` runs inline and sequential,
     /// `0` uses one worker per available core.
     pub threads: usize,
-    /// Memoise classification verdicts by image content digest, so
-    /// byte-identical crash images are classified once.
-    pub verdict_cache: bool,
-    /// Materialise images with the rolling copy-on-write engine (O(W)
-    /// block writes in total). `false` falls back to the legacy
-    /// full-prefix replay (O(W²) block writes), kept as the benchmark
-    /// baseline and for equivalence testing.
-    pub incremental: bool,
     /// Also enumerate *interior* volatile-cache reorderings
     /// ([`CrashKind::ReorderedWrite`]): at every explored crash point,
     /// each post-barrier write may be the one the cache evicted out of
     /// order — not just the most recent one. This multiplies the
-    /// schedule count per flush epoch (≈ n²/2 schedules for n writes)
-    /// and is what the partial-order reduction collapses back down.
+    /// schedule count per flush epoch (≈ n²/2 schedules for n writes),
+    /// and the digest dedup collapses it back down.
     pub deep_reorder: bool,
-    /// Plan schedules with the partial-order reduction: image digests
-    /// are computed directly from the recorded trace (every write
-    /// carries its pre-image, and the digest is a commutative per-block
-    /// sum), schedules whose digest + durability contract match an
-    /// already-planned representative are pruned before any
-    /// materialisation, and only class representatives are ever built
-    /// and classified.
-    pub por: bool,
     /// Persistent cross-run verdict store shared with faultsim
     /// ([`VerdictStore`]); verdicts found here skip materialisation and
     /// classification entirely, and fresh verdicts are written back.
@@ -98,10 +97,7 @@ impl Default for ExploreOptions {
             volatile_cache: true,
             max_prefix_points: None,
             threads: 1,
-            verdict_cache: true,
-            incremental: true,
             deep_reorder: false,
-            por: false,
             store: None,
         }
     }
@@ -121,23 +117,11 @@ impl ExploreOptions {
         self
     }
 
-    /// The pre-optimisation engine: single-threaded, no verdict cache,
-    /// and every image replayed in full from the pre-workload state.
-    /// The benchmark measures the rolling engine against this.
-    pub fn sequential_baseline() -> Self {
-        ExploreOptions {
-            threads: 1,
-            verdict_cache: false,
-            incremental: false,
-            ..ExploreOptions::default()
-        }
-    }
-
-    /// The corpus-scale configuration: deep reordering enumerated,
-    /// partial-order reduction on, one classification worker per core.
-    /// Attach a persistent store with [`ExploreOptions::with_store`].
+    /// The corpus-scale configuration: deep reordering enumerated, one
+    /// classification worker per core. Attach a persistent store with
+    /// [`ExploreOptions::with_store`].
     pub fn corpus() -> Self {
-        ExploreOptions { deep_reorder: true, por: true, threads: 0, ..ExploreOptions::default() }
+        ExploreOptions { deep_reorder: true, threads: 0, ..ExploreOptions::default() }
     }
 
     /// Attaches a persistent cross-run verdict store.
@@ -151,33 +135,102 @@ impl ExploreOptions {
 /// Explores every enumerated crash point of `workload` and classifies
 /// each post-crash image.
 ///
-/// The report's outcome list is independent of the engine
-/// configuration: parallel, cached and incremental runs produce the
-/// same outcomes in the same order as the sequential replay baseline.
-/// Only [`CrashReport::stats`] reflects the engine used.
+/// The report's outcome list does not depend on the thread count or
+/// the store: every run produces the same outcomes in the same
+/// enumeration order. Only [`CrashReport::stats`] reflects the work
+/// done.
 ///
 /// # Errors
 ///
 /// Propagates device errors from materialising crash images (out of
 /// range writes in a malformed trace; not produced by the built-in
 /// workloads).
+///
+/// # Panics
+///
+/// Panics if a materialised image's content digest differs from the
+/// digest planned for it from the trace — the dedup would otherwise
+/// have shared verdicts between different images.
 pub fn explore(workload: &Workload, opts: &ExploreOptions) -> Result<CrashReport, DeviceError> {
+    let store = opts.store.as_deref();
+    let plan = walk(workload, opts, &mut DigestRoll::new(workload)?, None)?;
+
+    // one verdict slot per class, holding a stored verdict or awaiting
+    // its representative's classification: (schedule, slot, store key)
+    let mut slot_of: Vec<usize> = Vec::with_capacity(plan.len());
+    let mut ready: Vec<Option<OutcomeCore>> = Vec::new();
+    let mut todo: Vec<(usize, usize, StoreKey)> = Vec::new();
+    let mut seen: HashMap<(ImageDigest, Vec<u16>), usize> = HashMap::new();
+    for (i, &(kind, digest)) in plan.iter().enumerate() {
+        let applicable = applicable_expectations(workload, kind.guaranteed_writes());
+        let class = match seen.entry((digest, applicable)) {
+            Entry::Occupied(class) => {
+                slot_of.push(*class.get());
+                continue;
+            }
+            Entry::Vacant(class) => class,
+        };
+        let key = (digest, store_extra(workload, &class.key().1));
+        class.insert(ready.len());
+        slot_of.push(ready.len());
+        let hit = store.and_then(|s| s.lookup(key));
+        if hit.is_none() {
+            todo.push((i, ready.len(), key));
+        }
+        ready.push(hit);
+    }
     let threads = effective_threads(opts.threads);
     let mut stats = ExploreStats {
+        crash_points: plan.len(),
+        images_classified: todo.len(),
         flushes_observed: workload.trace.flush_count(),
         threads,
+        schedules_pruned: plan.len() - ready.len(),
+        por_classes: ready.len(),
+        store_hits: if store.is_some() { ready.len() - todo.len() } else { 0 },
+        store_misses: if store.is_some() { todo.len() } else { 0 },
         ..ExploreStats::default()
     };
-    let outcomes = if opts.por {
-        explore_por(workload, opts, threads, &mut stats)?
-    } else if opts.incremental {
-        let jobs = materialize_incremental(workload, opts, &mut stats)?;
-        classify_all(jobs, workload, opts, threads, &mut stats)
-    } else {
-        let jobs = materialize_replay(workload, opts, &mut stats)?;
-        classify_all(jobs, workload, opts, threads, &mut stats)
-    };
-    stats.crash_points = outcomes.len();
+
+    // build the representatives in one rolling pass that stops after
+    // the last; a fully answered plan builds no device at all
+    if !todo.is_empty() {
+        let wanted: Vec<usize> = todo.iter().map(|t| t.0).collect();
+        let mut roll = CowRoll::new(workload)?;
+        let images = walk(workload, opts, &mut roll, Some(&wanted))?;
+        absorb_io(&mut stats, roll.rolling.stats());
+        stats.blocks_replayed += roll.extra_writes;
+        let jobs: Vec<_> = todo
+            .into_iter()
+            .zip(images)
+            .map(|((i, slot, key), (kind, mut image))| {
+                assert_eq!(
+                    image.digest(),
+                    Some(plan[i].1),
+                    "materialised image differs from its trace-planned digest ({kind:?})"
+                );
+                // only repair writes remain: stop hashing them
+                image.stop_digest_tracking();
+                (kind, image, slot, key)
+            })
+            .collect();
+        let cores = parallel_map(jobs, threads, |_, (kind, image, slot, key)| {
+            (slot, key, classify_image(image, workload, kind.guaranteed_writes()))
+        });
+        for (slot, key, core) in cores {
+            if let Some(store) = store {
+                store.insert(key, core.clone());
+            }
+            ready[slot] = Some(core);
+        }
+    }
+    let outcomes = plan
+        .into_iter()
+        .zip(slot_of)
+        .map(|((kind, _), slot)| {
+            ready[slot].clone().expect("every class resolved").into_outcome(kind)
+        })
+        .collect();
     Ok(CrashReport {
         workload: workload.name.clone(),
         writes: workload.trace.write_count(),
@@ -206,39 +259,7 @@ fn prefix_points(writes: usize, cap: Option<usize>) -> Vec<usize> {
     }
 }
 
-/// `durable[k]` = writes guaranteed durable when power fails just after
-/// write `k` (the write count at the last preceding flush barrier).
-fn durable_counts(workload: &Workload) -> Vec<usize> {
-    let mut out = vec![0usize; workload.trace.write_count() + 1];
-    let mut seen = 0usize;
-    let mut durable = 0usize;
-    for event in workload.trace.events() {
-        match event {
-            IoEvent::Flush => durable = seen,
-            IoEvent::Write { .. } => {
-                seen += 1;
-                out[seen] = durable;
-            }
-        }
-    }
-    out
-}
-
-/// The `n`-th write of the trace (1-based): `(block, data, pre)`.
-fn nth_write(workload: &Workload, n: usize) -> (u64, &[u8], &[u8]) {
-    let mut seen = 0usize;
-    for event in workload.trace.events() {
-        if let IoEvent::Write { block, data, pre } = event {
-            seen += 1;
-            if seen == n {
-                return (*block, data, pre);
-            }
-        }
-    }
-    panic!("trace has no write #{n}");
-}
-
-/// The first-half-persisted image of write `n`: the recorded pre-image
+/// The first-half-persisted image of a write: the recorded pre-image
 /// with the new data's first `persisted` bytes laid over it.
 fn torn_bytes(data: &[u8], pre: &[u8], persisted: usize) -> Vec<u8> {
     let mut torn = pre.to_vec();
@@ -247,11 +268,254 @@ fn torn_bytes(data: &[u8], pre: &[u8], persisted: usize) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// materialisation
+// schedule enumeration
 // ---------------------------------------------------------------------
 
+/// The state a schedule walk rolls forward along the trace. Every crash
+/// image is a write-prefix state with at most one block overwritten on
+/// top, so one walk serves the planner (which rolls a content digest),
+/// the materialiser (a copy-on-write device) and the reference explorer
+/// (a replay recipe).
+pub(crate) trait Rolling {
+    /// What one schedule's image is in this representation.
+    type Image;
+    /// Applies the next trace write to the rolling prefix state.
+    fn advance(&mut self, block: u64, data: &[u8], pre: &[u8]) -> Result<(), DeviceError>;
+    /// Marks the current prefix state as the last flush barrier's.
+    fn barrier(&mut self);
+    /// The current prefix state's image.
+    fn prefix(&mut self) -> Result<Self::Image, DeviceError>;
+    /// The current prefix state with `block`, which now holds
+    /// `current`, overwritten by `bytes`.
+    fn overwrite(
+        &mut self,
+        block: u64,
+        current: &[u8],
+        bytes: &[u8],
+    ) -> Result<Self::Image, DeviceError>;
+    /// The last barrier's state with the open epoch's `nth` write
+    /// (0-based; `data` to `block`) on top.
+    fn straggler(
+        &mut self,
+        nth: usize,
+        block: u64,
+        data: &[u8],
+    ) -> Result<Self::Image, DeviceError>;
+}
+
+/// Enumerates the crash schedules of `workload` in their canonical
+/// order and builds the image of every schedule, or only of the
+/// schedules whose indices the ascending list `wanted` holds — then it
+/// stops at the first trace event after the last of them.
+///
+/// At each explored prefix `k` the order is: the prefix itself, its
+/// torn final write, the interior stragglers of the open flush epoch
+/// (deep reordering) and the volatile-cache straggler `k`.
+pub(crate) fn walk<R: Rolling>(
+    workload: &Workload,
+    opts: &ExploreOptions,
+    roll: &mut R,
+    wanted: Option<&[usize]>,
+) -> Result<Vec<(CrashKind, R::Image)>, DeviceError> {
+    let points = prefix_points(workload.trace.write_count(), opts.max_prefix_points);
+    let mut next_point = points.iter().copied().peekable();
+    let end = wanted.map_or(usize::MAX, |w| w.last().map_or(0, |&last| last + 1));
+    let mut out = Vec::new();
+    // schedules enumerated so far
+    let index = Cell::new(0usize);
+    let mut emit = |kind: CrashKind, build: &mut dyn FnMut() -> Result<R::Image, DeviceError>| {
+        if wanted.is_none_or(|w| w.binary_search(&index.get()).is_ok()) {
+            out.push((kind, build()?));
+        }
+        index.set(index.get() + 1);
+        Ok::<_, DeviceError>(())
+    };
+    let mut durable = 0usize;
+    let mut done = 0usize;
+    // writes issued since the last flush barrier, for deep reordering:
+    // any of them may be the out-of-order straggler
+    let mut epoch: Vec<(u64, &[u8])> = Vec::new();
+
+    if next_point.peek() == Some(&0) {
+        next_point.next();
+        emit(CrashKind::Prefix { writes: 0 }, &mut || roll.prefix())?;
+    }
+    for event in workload.trace.events() {
+        if index.get() >= end {
+            break;
+        }
+        let (block, data, pre) = match event {
+            IoEvent::Flush => {
+                durable = done;
+                roll.barrier();
+                epoch.clear();
+                continue;
+            }
+            IoEvent::Write { block, data, pre } => (*block, data.as_slice(), pre.as_slice()),
+        };
+        roll.advance(block, data, pre)?;
+        epoch.push((block, data));
+        done += 1;
+        let k = done;
+        if next_point.peek() != Some(&k) {
+            continue;
+        }
+        next_point.next();
+        emit(CrashKind::Prefix { writes: k }, &mut || roll.prefix())?;
+        if opts.torn_writes {
+            let persisted = data.len() / 2;
+            emit(CrashKind::TornWrite { write: k, persisted }, &mut || {
+                roll.overwrite(block, data, &torn_bytes(data, pre, persisted))
+            })?;
+        }
+        if opts.deep_reorder {
+            // the open epoch holds writes durable+1..=k; every interior
+            // one may be the straggler the cache evicted
+            for (nth, &(s_block, s_data)) in epoch[..epoch.len() - 1].iter().enumerate() {
+                let straggler = durable + 1 + nth;
+                let kind = CrashKind::ReorderedWrite { durable, straggler, crashed_at: k };
+                emit(kind, &mut || roll.straggler(nth, s_block, s_data))?;
+            }
+        }
+        // only interesting when the straggler actually jumps a queue:
+        // with durable == k-1 the image equals the plain prefix
+        if opts.volatile_cache && durable + 1 < k {
+            let kind = CrashKind::VolatileCache { durable, straggler: k };
+            emit(kind, &mut || roll.straggler(epoch.len() - 1, block, data))?;
+        }
+    }
+    Ok(out)
+}
+
+/// Plans digests: the rolling prefix digest, the digest at the last
+/// barrier, each block's contribution at that barrier for the blocks
+/// written since (recorded at a block's first post-barrier write, whose
+/// pre-image still is the barrier-time content), and the new
+/// contribution of each write of the open epoch.
+struct DigestRoll {
+    cur: ImageDigest,
+    durable: ImageDigest,
+    at_barrier: HashMap<u64, BlockContribution>,
+    epoch: Vec<BlockContribution>,
+}
+
+impl DigestRoll {
+    fn new(workload: &Workload) -> Result<Self, DeviceError> {
+        let cur = match workload.pre.digest() {
+            Some(digest) => digest,
+            None => digest_device(&workload.pre)?,
+        };
+        Ok(DigestRoll { cur, durable: cur, at_barrier: HashMap::new(), epoch: Vec::new() })
+    }
+}
+
+impl Rolling for DigestRoll {
+    type Image = ImageDigest;
+
+    fn advance(&mut self, block: u64, data: &[u8], pre: &[u8]) -> Result<(), DeviceError> {
+        let old = block_contribution(block, pre);
+        let new = block_contribution(block, data);
+        self.at_barrier.entry(block).or_insert(old);
+        self.cur.replace(old, new);
+        self.epoch.push(new);
+        Ok(())
+    }
+
+    fn barrier(&mut self) {
+        self.durable = self.cur;
+        self.at_barrier.clear();
+        self.epoch.clear();
+    }
+
+    fn prefix(&mut self) -> Result<ImageDigest, DeviceError> {
+        Ok(self.cur)
+    }
+
+    fn overwrite(
+        &mut self,
+        block: u64,
+        current: &[u8],
+        bytes: &[u8],
+    ) -> Result<ImageDigest, DeviceError> {
+        let mut d = self.cur;
+        d.replace(block_contribution(block, current), block_contribution(block, bytes));
+        Ok(d)
+    }
+
+    fn straggler(&mut self, nth: usize, block: u64, _: &[u8]) -> Result<ImageDigest, DeviceError> {
+        let mut d = self.durable;
+        d.replace(self.at_barrier[&block], self.epoch[nth]);
+        Ok(d)
+    }
+}
+
+/// Materialises images: one rolling copy-on-write device plus a frozen
+/// snapshot at the last barrier. A prefix image is a snapshot; a torn
+/// or straggler image costs one block write on top of one.
+struct CowRoll {
+    rolling: StatsDevice<CowDevice>,
+    durable: CowDevice,
+    extra_writes: u64,
+}
+
+impl CowRoll {
+    fn new(workload: &Workload) -> Result<Self, DeviceError> {
+        let rolling = match workload.pre.digest() {
+            Some(_) => workload.pre.snapshot(),
+            None => CowDevice::from_device(&workload.pre)?,
+        };
+        Ok(CowRoll {
+            durable: rolling.snapshot(),
+            rolling: StatsDevice::new(rolling),
+            extra_writes: 0,
+        })
+    }
+
+    fn write_on(
+        &mut self,
+        mut dev: CowDevice,
+        block: u64,
+        bytes: &[u8],
+    ) -> Result<CowDevice, DeviceError> {
+        dev.write_block(block, bytes)?;
+        self.extra_writes += 1;
+        Ok(dev)
+    }
+}
+
+impl Rolling for CowRoll {
+    type Image = CowDevice;
+
+    fn advance(&mut self, block: u64, data: &[u8], _pre: &[u8]) -> Result<(), DeviceError> {
+        self.rolling.write_block(block, data)
+    }
+
+    fn barrier(&mut self) {
+        self.durable = self.rolling.inner().snapshot();
+    }
+
+    fn prefix(&mut self) -> Result<CowDevice, DeviceError> {
+        Ok(self.rolling.inner().snapshot())
+    }
+
+    fn overwrite(
+        &mut self,
+        block: u64,
+        _current: &[u8],
+        bytes: &[u8],
+    ) -> Result<CowDevice, DeviceError> {
+        let snap = self.rolling.inner().snapshot();
+        self.write_on(snap, block, bytes)
+    }
+
+    fn straggler(&mut self, _: usize, block: u64, data: &[u8]) -> Result<CowDevice, DeviceError> {
+        let snap = self.durable.snapshot();
+        self.write_on(snap, block, data)
+    }
+}
+
 /// Folds one materialisation device's I/O counters into the run stats.
-fn absorb_io(stats: &mut ExploreStats, io: IoStats) {
+pub(crate) fn absorb_io(stats: &mut ExploreStats, io: IoStats) {
     stats.blocks_replayed += io.writes;
     stats.blocks_read += io.reads;
     stats.bulk_reads += io.bulk_reads;
@@ -259,193 +523,15 @@ fn absorb_io(stats: &mut ExploreStats, io: IoStats) {
     stats.vec_allocs += io.vec_allocs;
 }
 
-/// Incremental engine: one rolling CoW device advances write-by-write;
-/// each crash point freezes a snapshot (plus at most one extra block
-/// write for torn/volatile variants). Total cost is O(W) block writes
-/// for the whole enumeration.
-fn materialize_incremental(
-    workload: &Workload,
-    opts: &ExploreOptions,
-    stats: &mut ExploreStats,
-) -> Result<Vec<(CrashKind, CowDevice)>, DeviceError> {
-    let writes = workload.trace.write_count();
-    let points = prefix_points(writes, opts.max_prefix_points);
-    let mut next_point = points.iter().copied().peekable();
-    let mut jobs: Vec<(CrashKind, CowDevice)> = Vec::new();
-
-    let mut rolling = StatsDevice::new(CowDevice::from_device(&workload.pre)?);
-    let pre_snap = rolling.inner().snapshot();
-    // the state at the last flush barrier: the base every volatile-cache
-    // variant is built on
-    let mut durable_snap: Option<CowDevice> = None;
-    let mut durable = 0usize;
-    let mut done = 0usize;
-    // writes issued since the last flush barrier, for deep reordering:
-    // any of them may be the out-of-order straggler
-    let mut epoch_writes: Vec<(usize, u64, &[u8])> = Vec::new();
-
-    if next_point.peek() == Some(&0) {
-        next_point.next();
-        jobs.push((CrashKind::Prefix { writes: 0 }, rolling.inner().snapshot()));
-    }
-    for event in workload.trace.events() {
-        match event {
-            IoEvent::Flush => {
-                durable = done;
-                durable_snap = Some(rolling.inner().snapshot());
-                epoch_writes.clear();
-            }
-            IoEvent::Write { block, data, pre } => {
-                let k = done + 1;
-                let explored = next_point.peek() == Some(&k);
-                // the torn variant needs the k-1 state: snapshot before
-                // the rolling device absorbs write k
-                let mut torn_job = None;
-                if explored && opts.torn_writes {
-                    let persisted = data.len() / 2;
-                    let mut dev = StatsDevice::new(rolling.inner().snapshot());
-                    dev.write_block(*block, &torn_bytes(data, pre, persisted))?;
-                    absorb_io(stats, dev.stats());
-                    torn_job =
-                        Some((CrashKind::TornWrite { write: k, persisted }, dev.into_inner()));
-                }
-                rolling.write_block(*block, data)?;
-                epoch_writes.push((k, *block, data.as_slice()));
-                done = k;
-                if explored {
-                    next_point.next();
-                    jobs.push((CrashKind::Prefix { writes: k }, rolling.inner().snapshot()));
-                    if let Some(job) = torn_job {
-                        jobs.push(job);
-                    }
-                    let base = durable_snap.as_ref().unwrap_or(&pre_snap);
-                    // deep reordering: every *interior* post-barrier
-                    // write may be the straggler the cache evicted
-                    if opts.deep_reorder {
-                        for &(s, s_block, s_data) in &epoch_writes {
-                            if s <= durable || s >= k {
-                                continue;
-                            }
-                            let mut dev = StatsDevice::new(base.snapshot());
-                            dev.write_block(s_block, s_data)?;
-                            absorb_io(stats, dev.stats());
-                            jobs.push((
-                                CrashKind::ReorderedWrite { durable, straggler: s, crashed_at: k },
-                                dev.into_inner(),
-                            ));
-                        }
-                    }
-                    // only interesting when the straggler actually jumps
-                    // a queue: with durable == k-1 the image equals the
-                    // plain prefix
-                    if opts.volatile_cache && durable + 1 < k {
-                        let mut dev = StatsDevice::new(base.snapshot());
-                        dev.write_block(*block, data)?;
-                        absorb_io(stats, dev.stats());
-                        jobs.push((
-                            CrashKind::VolatileCache { durable, straggler: k },
-                            dev.into_inner(),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    absorb_io(stats, rolling.stats());
-    Ok(jobs)
-}
-
-/// Legacy engine: every image is replayed in full from the pre-workload
-/// state — O(k) block writes per crash point, O(W²) in total. Kept as
-/// the benchmark baseline and the equivalence-test reference.
-fn materialize_replay(
-    workload: &Workload,
-    opts: &ExploreOptions,
-    stats: &mut ExploreStats,
-) -> Result<Vec<(CrashKind, MemDevice)>, DeviceError> {
-    let writes = workload.trace.write_count();
-    let durable = durable_counts(workload);
-    let mut jobs: Vec<(CrashKind, MemDevice)> = Vec::new();
-    let replay = |prefix: usize,
-                  straggler: Option<(u64, Vec<u8>)>,
-                  stats: &mut ExploreStats|
-     -> Result<MemDevice, DeviceError> {
-        let mut dev = StatsDevice::new(workload.pre.clone());
-        workload.trace.apply_prefix(&mut dev, prefix)?;
-        if let Some((block, data)) = straggler {
-            dev.write_block(block, &data)?;
-        }
-        absorb_io(stats, dev.stats());
-        Ok(dev.into_inner())
-    };
-    for k in prefix_points(writes, opts.max_prefix_points) {
-        jobs.push((CrashKind::Prefix { writes: k }, replay(k, None, stats)?));
-        if k == 0 {
-            continue;
-        }
-        if opts.torn_writes {
-            let (block, data, pre) = nth_write(workload, k);
-            let persisted = data.len() / 2;
-            jobs.push((
-                CrashKind::TornWrite { write: k, persisted },
-                replay(k - 1, Some((block, torn_bytes(data, pre, persisted))), stats)?,
-            ));
-        }
-        if opts.deep_reorder {
-            for s in durable[k] + 1..k {
-                let (block, data, _) = nth_write(workload, s);
-                jobs.push((
-                    CrashKind::ReorderedWrite { durable: durable[k], straggler: s, crashed_at: k },
-                    replay(durable[k], Some((block, data.to_vec())), stats)?,
-                ));
-            }
-        }
-        if opts.volatile_cache && durable[k] + 1 < k {
-            let (block, data, _) = nth_write(workload, k);
-            jobs.push((
-                CrashKind::VolatileCache { durable: durable[k], straggler: k },
-                replay(durable[k], Some((block, data.to_vec())), stats)?,
-            ));
-        }
-    }
-    Ok(jobs)
-}
-
 // ---------------------------------------------------------------------
 // classification
 // ---------------------------------------------------------------------
 
-/// A crash image with a content identity — what the verdict cache and
-/// the classification pool operate on.
-trait CrashImage: BlockDevice + Clone + Send {
-    fn content_digest(&self) -> ImageDigest;
-    /// Called once the image's identity has been taken and only repair
-    /// writes remain; lets the device drop bookkeeping it no longer
-    /// needs (digest upkeep on [`CowDevice`]).
-    fn freeze_identity(&mut self) {}
-}
-
-impl CrashImage for CowDevice {
-    fn content_digest(&self) -> ImageDigest {
-        self.digest().expect("materialized crash images track their digest")
-    }
-
-    fn freeze_identity(&mut self) {
-        self.stop_digest_tracking();
-    }
-}
-
-impl CrashImage for MemDevice {
-    fn content_digest(&self) -> ImageDigest {
-        digest_device(self).expect("in-range scan of an in-memory device")
-    }
-}
-
 /// Indices of the durability expectations covered by a crash point
 /// guaranteeing `guaranteed` writes. Classification depends on the
 /// crash kind *only* through this set, so it is the second half of the
-/// verdict-cache key: byte-identical images under the same applicable
-/// set always share a verdict.
+/// dedup key: byte-identical images under the same applicable set
+/// always share a verdict.
 fn applicable_expectations(workload: &Workload, guaranteed: usize) -> Vec<u16> {
     workload
         .expectations
@@ -483,316 +569,6 @@ fn store_extra(workload: &Workload, applicable: &[u16]) -> u64 {
         fnv1a_bytes(&mut h, &[0xff]);
     }
     h
-}
-
-/// Folds a per-run snapshot of the persistent store's counters into the
-/// run stats (the store's own counters are cumulative per process).
-struct StoreCounters {
-    hits0: usize,
-    misses0: usize,
-}
-
-impl StoreCounters {
-    fn before(store: Option<&Arc<VerdictStore<OutcomeCore>>>) -> Self {
-        StoreCounters {
-            hits0: store.map_or(0, |s| s.hits()),
-            misses0: store.map_or(0, |s| s.misses()),
-        }
-    }
-
-    fn settle(self, store: Option<&Arc<VerdictStore<OutcomeCore>>>, stats: &mut ExploreStats) {
-        if let Some(store) = store {
-            stats.store_hits += store.hits() - self.hits0;
-            stats.store_misses += store.misses() - self.misses0;
-        }
-    }
-}
-
-/// Classifies all materialised images: deduplicates byte-identical ones
-/// via the digest cache, answers what it can from the persistent store,
-/// fans the unique classifications out across the worker pool, and
-/// re-assembles the outcomes in enumeration order.
-fn classify_all<D: CrashImage>(
-    jobs: Vec<(CrashKind, D)>,
-    workload: &Workload,
-    opts: &ExploreOptions,
-    threads: usize,
-    stats: &mut ExploreStats,
-) -> Vec<CrashOutcome> {
-    let counters = StoreCounters::before(opts.store.as_ref());
-    // map every crash point to a verdict slot; a slot is either a
-    // store-provided verdict or an image awaiting classification
-    let mut kinds: Vec<CrashKind> = Vec::with_capacity(jobs.len());
-    let mut slot_of: Vec<usize> = Vec::with_capacity(jobs.len());
-    let mut ready: Vec<Option<OutcomeCore>> = Vec::new();
-    let mut unique: Vec<(D, usize, Option<blockdev::StoreKey>)> = Vec::new();
-    let mut unique_slot: Vec<usize> = Vec::new();
-    let mut seen: HashMap<(ImageDigest, Vec<u16>), usize> = HashMap::new();
-    for (kind, mut image) in jobs {
-        let guaranteed = kind.guaranteed_writes();
-        kinds.push(kind);
-        let want_identity = opts.verdict_cache || opts.store.is_some();
-        if want_identity {
-            let digest = image.content_digest();
-            let applicable = applicable_expectations(workload, guaranteed);
-            if opts.verdict_cache {
-                if let Some(&slot) = seen.get(&(digest, applicable.clone())) {
-                    stats.cache_hits += 1;
-                    slot_of.push(slot);
-                    continue;
-                }
-                seen.insert((digest, applicable.clone()), ready.len());
-            }
-            let store_key = (digest, store_extra(workload, &applicable));
-            if let Some(hit) = opts.store.as_ref().and_then(|s| s.lookup(store_key)) {
-                slot_of.push(ready.len());
-                ready.push(Some(hit));
-                continue;
-            }
-            image.freeze_identity();
-            slot_of.push(ready.len());
-            unique_slot.push(ready.len());
-            ready.push(None);
-            unique.push((image, guaranteed, opts.store.as_ref().map(|_| store_key)));
-        } else {
-            image.freeze_identity();
-            slot_of.push(ready.len());
-            unique_slot.push(ready.len());
-            ready.push(None);
-            unique.push((image, guaranteed, None));
-        }
-    }
-    stats.images_classified = unique.len();
-
-    let cores: Vec<(OutcomeCore, Option<blockdev::StoreKey>)> =
-        parallel_map(unique, threads, |_, (image, guaranteed, store_key)| {
-            (classify_image(image, workload, guaranteed), store_key)
-        });
-    for (slot, (core, store_key)) in unique_slot.into_iter().zip(cores) {
-        if let (Some(store), Some(key)) = (opts.store.as_ref(), store_key) {
-            store.insert(key, core.clone());
-        }
-        ready[slot] = Some(core);
-    }
-    counters.settle(opts.store.as_ref(), stats);
-    kinds
-        .into_iter()
-        .zip(slot_of)
-        .map(|(kind, slot)| {
-            ready[slot].clone().expect("every verdict slot filled").into_outcome(kind)
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// partial-order reduction
-// ---------------------------------------------------------------------
-
-/// Plans the full crash-schedule enumeration straight from the recorded
-/// trace, attaching to every schedule the exact content digest of the
-/// image it would materialise — without materialising anything.
-///
-/// This is what makes the partial-order reduction sound rather than
-/// heuristic: every [`IoEvent::Write`] records both its data and the
-/// block's pre-image, and [`ImageDigest`] is a *commutative* per-block
-/// sum, so the digest of any schedule's image is computable by rolling
-/// contribution replacement. Two schedules whose writes commute (they
-/// touch distinct blocks with no flush barrier ordering them) sum to
-/// the same digest by construction — the digest itself is the canonical
-/// class representative.
-fn plan_schedules(
-    workload: &Workload,
-    opts: &ExploreOptions,
-) -> Result<Vec<(CrashKind, ImageDigest)>, DeviceError> {
-    let writes = workload.trace.write_count();
-    let points = prefix_points(writes, opts.max_prefix_points);
-    let mut next_point = points.iter().copied().peekable();
-    let mut plan: Vec<(CrashKind, ImageDigest)> = Vec::new();
-
-    // rolling digest of the strict write-prefix image
-    let mut cur = digest_device(&workload.pre)?;
-    // digest of the image at the last flush barrier
-    let mut durable_digest = cur;
-    // per-block contribution *at the barrier* for blocks written since:
-    // recorded at each block's first post-barrier write, when its
-    // pre-image still is the barrier-time content
-    let mut barrier_contribution: HashMap<u64, blockdev::BlockContribution> = HashMap::new();
-    // writes issued since the barrier: (write number, block, new contribution)
-    let mut epoch_writes: Vec<(usize, u64, blockdev::BlockContribution)> = Vec::new();
-    let mut durable = 0usize;
-    let mut done = 0usize;
-
-    if next_point.peek() == Some(&0) {
-        next_point.next();
-        plan.push((CrashKind::Prefix { writes: 0 }, cur));
-    }
-    for event in workload.trace.events() {
-        match event {
-            IoEvent::Flush => {
-                durable = done;
-                durable_digest = cur;
-                barrier_contribution.clear();
-                epoch_writes.clear();
-            }
-            IoEvent::Write { block, data, pre } => {
-                let k = done + 1;
-                let old = block_contribution(*block, pre);
-                let new = block_contribution(*block, data);
-                let explored = next_point.peek() == Some(&k);
-                let torn = if explored && opts.torn_writes {
-                    let persisted = data.len() / 2;
-                    let mut d = cur;
-                    d.replace(old, block_contribution(*block, &torn_bytes(data, pre, persisted)));
-                    Some((persisted, d))
-                } else {
-                    None
-                };
-                barrier_contribution.entry(*block).or_insert(old);
-                cur.replace(old, new);
-                epoch_writes.push((k, *block, new));
-                done = k;
-                if explored {
-                    next_point.next();
-                    plan.push((CrashKind::Prefix { writes: k }, cur));
-                    if let Some((persisted, d)) = torn {
-                        plan.push((CrashKind::TornWrite { write: k, persisted }, d));
-                    }
-                    // straggler images: the barrier-time image with one
-                    // post-barrier write applied on top
-                    let straggler_digest = |s_block: u64, s_new: blockdev::BlockContribution| {
-                        let mut d = durable_digest;
-                        let at_barrier = barrier_contribution
-                            .get(&s_block)
-                            .copied()
-                            .unwrap_or_else(|| panic!("straggler block {s_block} untracked"));
-                        d.replace(at_barrier, s_new);
-                        d
-                    };
-                    if opts.deep_reorder {
-                        for &(s, s_block, s_new) in &epoch_writes {
-                            if s <= durable || s >= k {
-                                continue;
-                            }
-                            plan.push((
-                                CrashKind::ReorderedWrite { durable, straggler: s, crashed_at: k },
-                                straggler_digest(s_block, s_new),
-                            ));
-                        }
-                    }
-                    if opts.volatile_cache && durable + 1 < k {
-                        plan.push((
-                            CrashKind::VolatileCache { durable, straggler: k },
-                            straggler_digest(*block, new),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Ok(plan)
-}
-
-/// The replay recipe for one planned schedule: the write prefix to
-/// apply and the optional out-of-order straggler on top.
-fn replay_recipe(workload: &Workload, kind: CrashKind) -> (usize, Option<(u64, Vec<u8>)>) {
-    match kind {
-        CrashKind::Prefix { writes } => (writes, None),
-        CrashKind::TornWrite { write, persisted } => {
-            let (block, data, pre) = nth_write(workload, write);
-            (write - 1, Some((block, torn_bytes(data, pre, persisted))))
-        }
-        CrashKind::VolatileCache { durable, straggler }
-        | CrashKind::ReorderedWrite { durable, straggler, .. } => {
-            let (block, data, _) = nth_write(workload, straggler);
-            (durable, Some((block, data.to_vec())))
-        }
-    }
-}
-
-/// The partial-order-reduction engine: plans every schedule's digest
-/// from the trace, prunes schedules whose (digest, durability contract)
-/// class already has a representative, answers classes from the
-/// persistent store where possible, and only materialises + classifies
-/// the remaining class representatives.
-fn explore_por(
-    workload: &Workload,
-    opts: &ExploreOptions,
-    threads: usize,
-    stats: &mut ExploreStats,
-) -> Result<Vec<CrashOutcome>, DeviceError> {
-    let counters = StoreCounters::before(opts.store.as_ref());
-    let plan = plan_schedules(workload, opts)?;
-    let enumerated = plan.len();
-
-    let mut kinds: Vec<CrashKind> = Vec::with_capacity(enumerated);
-    let mut slot_of: Vec<usize> = Vec::with_capacity(enumerated);
-    let mut ready: Vec<Option<OutcomeCore>> = Vec::new();
-    let mut todo: Vec<(CrashKind, ImageDigest, usize, Option<blockdev::StoreKey>)> = Vec::new();
-    let mut todo_slot: Vec<usize> = Vec::new();
-    let mut seen: HashMap<(ImageDigest, Vec<u16>), usize> = HashMap::new();
-    for (kind, digest) in plan {
-        let guaranteed = kind.guaranteed_writes();
-        kinds.push(kind);
-        let applicable = applicable_expectations(workload, guaranteed);
-        if let Some(&slot) = seen.get(&(digest, applicable.clone())) {
-            stats.cache_hits += 1;
-            slot_of.push(slot);
-            continue;
-        }
-        seen.insert((digest, applicable.clone()), ready.len());
-        let store_key = (digest, store_extra(workload, &applicable));
-        if let Some(hit) = opts.store.as_ref().and_then(|s| s.lookup(store_key)) {
-            slot_of.push(ready.len());
-            ready.push(Some(hit));
-            continue;
-        }
-        slot_of.push(ready.len());
-        todo_slot.push(ready.len());
-        ready.push(None);
-        todo.push((kind, digest, guaranteed, opts.store.as_ref().map(|_| store_key)));
-    }
-    stats.por_classes = ready.len();
-    stats.schedules_pruned = enumerated - ready.len();
-    stats.images_classified = todo.len();
-
-    // materialise and classify only the class representatives; a fully
-    // store-warm run reaches here with nothing to do and never touches
-    // the device layer at all
-    type PorResult = Result<(OutcomeCore, IoStats, Option<blockdev::StoreKey>), DeviceError>;
-    let results: Vec<PorResult> =
-        parallel_map(todo, threads, |_, (kind, digest, guaranteed, store_key)| {
-            let (prefix, straggler) = replay_recipe(workload, kind);
-            let mut dev = StatsDevice::new(workload.pre.clone());
-            workload.trace.apply_prefix(&mut dev, prefix)?;
-            if let Some((block, data)) = straggler {
-                dev.write_block(block, &data)?;
-            }
-            let io = dev.stats();
-            let image = dev.into_inner();
-            debug_assert_eq!(
-                digest_device(&image)?,
-                digest,
-                "trace-planned digest must match the materialised image ({kind:?})"
-            );
-            let _ = digest;
-            Ok((classify_image(image, workload, guaranteed), io, store_key))
-        });
-    for (slot, result) in todo_slot.into_iter().zip(results) {
-        let (core, io, store_key) = result?;
-        absorb_io(stats, io);
-        if let (Some(store), Some(key)) = (opts.store.as_ref(), store_key) {
-            store.insert(key, core.clone());
-        }
-        ready[slot] = Some(core);
-    }
-    counters.settle(opts.store.as_ref(), stats);
-    Ok(kinds
-        .into_iter()
-        .zip(slot_of)
-        .map(|(kind, slot)| {
-            ready[slot].clone().expect("every POR class resolved").into_outcome(kind)
-        })
-        .collect())
 }
 
 /// Result of the read-only remount plus durable-data audit.
@@ -847,9 +623,9 @@ fn core(
 
 /// Classifies one materialised crash image. Takes the image by value:
 /// the `-n` probe lends it out and gets it back untouched, and each
-/// repair attempt makes at most one copy (a cheap CoW snapshot on the
-/// incremental engine).
-fn classify_image<D: BlockDevice + Clone>(
+/// repair attempt makes at most one copy (a cheap snapshot of a
+/// [`CowDevice`]).
+pub(crate) fn classify_image<D: BlockDevice + Clone>(
     img: D,
     workload: &Workload,
     guaranteed: usize,
@@ -980,7 +756,7 @@ fn classify_image<D: BlockDevice + Clone>(
 mod tests {
     use super::*;
     use crate::workloads::{figure1_resize_workload, journaled_write_workload, Workload};
-    use blockdev::RecordingDevice;
+    use blockdev::{MemDevice, RecordingDevice};
     use contest_helpers::*;
 
     // small helpers shared by the tests below
@@ -1018,22 +794,40 @@ mod tests {
     }
 
     #[test]
-    fn durable_counts_track_flush_barriers() {
+    fn stragglers_track_flush_barriers() {
         let mut rec = RecordingDevice::new(MemDevice::new(512, 8));
         rec.write_block(0, &[1u8; 512]).unwrap();
         rec.write_block(1, &[2u8; 512]).unwrap();
         rec.flush().unwrap();
         rec.write_block(2, &[3u8; 512]).unwrap();
+        rec.write_block(3, &[4u8; 512]).unwrap();
         let (_, trace) = rec.into_parts();
         let w = Workload {
             name: "t".to_string(),
-            pre: MemDevice::new(512, 8),
+            pre: CowDevice::new(512, 8),
             trace,
             block_size: 512,
             expectations: Vec::new(),
             backup_superblocks: Vec::new(),
         };
-        assert_eq!(durable_counts(&w), vec![0, 0, 0, 2]);
+        let opts = ExploreOptions { deep_reorder: true, ..ExploreOptions::default() };
+        let stragglers: Vec<CrashKind> = walk(&w, &opts, &mut DigestRoll::new(&w).unwrap(), None)
+            .unwrap()
+            .into_iter()
+            .map(|(kind, _)| kind)
+            .filter(|kind| {
+                matches!(kind, CrashKind::VolatileCache { .. } | CrashKind::ReorderedWrite { .. })
+            })
+            .collect();
+        assert_eq!(
+            stragglers,
+            vec![
+                CrashKind::ReorderedWrite { durable: 0, straggler: 1, crashed_at: 2 },
+                CrashKind::VolatileCache { durable: 0, straggler: 2 },
+                CrashKind::ReorderedWrite { durable: 2, straggler: 3, crashed_at: 4 },
+                CrashKind::VolatileCache { durable: 2, straggler: 4 },
+            ]
+        );
     }
 
     #[test]
@@ -1043,7 +837,7 @@ mod tests {
         let (_, trace) = rec.into_parts();
         let w = Workload {
             name: "garbage".to_string(),
-            pre: MemDevice::new(1024, 64),
+            pre: CowDevice::new(1024, 64),
             trace,
             block_size: 1024,
             expectations: Vec::new(),
@@ -1062,7 +856,7 @@ mod tests {
         let (_, trace) = rec.into_parts();
         let w = Workload {
             name: "sb-wipe".to_string(),
-            pre,
+            pre: CowDevice::from_device(&pre).unwrap(),
             trace,
             block_size: 1024,
             expectations: Vec::new(),
@@ -1124,6 +918,11 @@ mod tests {
         assert_ne!(full.verdict, Verdict::Consistent, "{}", full.detail);
     }
 
+    /// Outcomes in enumeration order.
+    fn ordered(r: &CrashReport) -> Vec<String> {
+        r.outcomes.iter().map(|o| format!("{o:?}")).collect()
+    }
+
     #[test]
     fn engines_threads_and_cache_agree_exactly() {
         let files = vec![
@@ -1131,38 +930,30 @@ mod tests {
             ("beta".to_string(), vec![2u8; 300]),
         ];
         let w = journaled_write_workload(&files).unwrap();
-        let baseline = explore(&w, &ExploreOptions::sequential_baseline()).unwrap();
-        let rolling = explore(
-            &w,
-            &ExploreOptions { threads: 1, verdict_cache: false, ..ExploreOptions::default() },
-        )
-        .unwrap();
-        let cached_parallel =
-            explore(&w, &ExploreOptions::default().with_threads(4)).unwrap();
+        let reference = crate::explore_reference(&w, &ExploreOptions::default()).unwrap();
+        let sequential = explore(&w, &ExploreOptions::default()).unwrap();
+        let parallel = explore(&w, &ExploreOptions::default().with_threads(4)).unwrap();
         // identical outcome lists, in the same enumeration order
-        let debug = |r: &CrashReport| {
-            r.outcomes.iter().map(|o| format!("{o:?}")).collect::<Vec<_>>()
-        };
-        assert_eq!(debug(&baseline), debug(&rolling));
-        assert_eq!(debug(&baseline), debug(&cached_parallel));
-        // the rolling engine replays O(W) blocks where the baseline
-        // replays O(W²)
+        assert_eq!(ordered(&reference), ordered(&sequential));
+        assert_eq!(ordered(&reference), ordered(&parallel));
+        assert_eq!(sequential.stats, ExploreStats { threads: 1, ..parallel.stats });
+        // the rolling device writes O(W) blocks where replay writes O(W²)
         assert!(
-            rolling.stats.blocks_replayed < baseline.stats.blocks_replayed,
-            "rolling {} vs baseline {}",
-            rolling.stats.blocks_replayed,
-            baseline.stats.blocks_replayed
+            sequential.stats.blocks_replayed < reference.stats.blocks_replayed,
+            "rolling {} vs reference {}",
+            sequential.stats.blocks_replayed,
+            reference.stats.blocks_replayed
         );
         // journalled traces collapse many torn variants onto their
-        // prefix images, so the cache must fire without changing a
+        // prefix images, so the dedup must fire without changing a
         // single verdict
-        assert!(cached_parallel.stats.cache_hits > 0, "{:?}", cached_parallel.stats);
+        assert!(parallel.stats.schedules_pruned > 0, "{:?}", parallel.stats);
         assert_eq!(
-            cached_parallel.stats.images_classified + cached_parallel.stats.cache_hits,
-            cached_parallel.outcomes.len()
+            parallel.stats.images_classified + parallel.stats.schedules_pruned,
+            parallel.outcomes.len()
         );
-        assert_eq!(baseline.stats.cache_hits, 0);
-        assert_eq!(cached_parallel.stats.threads, 4);
+        assert_eq!(reference.stats.images_classified, reference.outcomes.len());
+        assert_eq!(parallel.stats.threads, 4);
     }
 
     #[test]
@@ -1173,36 +964,24 @@ mod tests {
         ];
         let w = journaled_write_workload(&files).unwrap();
         let deep = ExploreOptions { deep_reorder: true, ..ExploreOptions::default() };
-        let exhaustive = explore(&w, &deep).unwrap();
-        let por = explore(&w, &ExploreOptions { por: true, ..deep.clone() }).unwrap();
-        // all three deep-reorder engines agree outcome-for-outcome, in
-        // enumeration order
-        let debug = |r: &CrashReport| {
-            r.outcomes.iter().map(|o| format!("{o:?}")).collect::<Vec<_>>()
-        };
-        let baseline = explore(
-            &w,
-            &ExploreOptions { deep_reorder: true, ..ExploreOptions::sequential_baseline() },
-        )
-        .unwrap();
-        assert_eq!(debug(&baseline), debug(&exhaustive));
-        assert_eq!(debug(&exhaustive), debug(&por));
+        let reference = crate::explore_reference(&w, &deep).unwrap();
+        let engine = explore(&w, &deep).unwrap();
+        assert_eq!(ordered(&reference), ordered(&engine));
         // deep reordering enumerates interior stragglers
         assert!(
-            exhaustive.outcomes.iter().any(|o| matches!(o.kind, CrashKind::ReorderedWrite { .. })),
+            engine.outcomes.iter().any(|o| matches!(o.kind, CrashKind::ReorderedWrite { .. })),
             "deep reorder enumerated no interior stragglers"
         );
-        // ... and POR collapses them without changing a verdict
-        assert!(por.stats.schedules_pruned > 0, "{:?}", por.stats);
+        // ... and the dedup collapses them without changing a verdict
+        assert!(engine.stats.schedules_pruned > 0, "{:?}", engine.stats);
         assert_eq!(
-            por.stats.por_classes + por.stats.schedules_pruned,
-            por.outcomes.len(),
+            engine.stats.por_classes + engine.stats.schedules_pruned,
+            engine.outcomes.len(),
             "{:?}",
-            por.stats
+            engine.stats
         );
-        assert_eq!(por.stats.images_classified, por.stats.por_classes);
-        assert_eq!(exhaustive.stats.schedules_pruned, 0);
-        assert_eq!(exhaustive.stats.por_classes, 0);
+        assert_eq!(engine.stats.images_classified, engine.stats.por_classes);
+        assert_eq!(reference.stats.schedules_pruned, 0);
     }
 
     #[test]

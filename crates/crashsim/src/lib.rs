@@ -20,6 +20,15 @@
 //! repro drives: `mke2fs` format, the Figure 1 resize, journalled file
 //! writes, and `e4defrag`.
 //!
+//! [`explore`] is one engine: it plans every schedule's image digest
+//! from the trace, shares verdicts between schedules with the same
+//! image and durability contract (and with a persistent
+//! [`VerdictStore`]), builds only the remaining class representatives
+//! on a rolling copy-on-write device, and classifies them on the shared
+//! worker pool. The `oracle` feature adds `explore_reference`, which
+//! replays and classifies every schedule with no dedup: the reference
+//! the equivalence tests and the benchmark hold the engine to.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,11 +41,15 @@
 //! ```
 
 mod explore;
+#[cfg(any(test, feature = "oracle"))]
+mod oracle;
 mod report;
 mod workloads;
 
 pub use blockdev::{IoEvent, IoTrace, StoreKey, StoreOpenReport, VerdictStore};
 pub use explore::{explore, ExploreOptions};
+#[cfg(any(test, feature = "oracle"))]
+pub use oracle::explore_reference;
 pub use report::{
     CrashKind, CrashOutcome, CrashReport, ExploreStats, OutcomeCore, Verdict, VerdictCounts,
 };

@@ -60,10 +60,10 @@ impl CrashKind {
     }
 }
 
-/// The engine-independent core of a classification: everything about a
-/// crash image's fate except the [`CrashKind`] it was reached through.
-/// This is what the digest memo and the persistent verdict store key by
-/// image content — two crash kinds producing byte-identical images
+/// The core of a classification: everything about a crash image's
+/// fate except the [`CrashKind`] it was reached through. This is what
+/// the digest dedup and the persistent verdict store key by image
+/// content — two crash kinds producing byte-identical images
 /// under the same durability contract share one `OutcomeCore`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OutcomeCore {
@@ -145,16 +145,13 @@ pub struct VerdictCounts {
 pub struct ExploreStats {
     /// Crash points enumerated (= `outcomes.len()`).
     pub crash_points: usize,
-    /// Block writes issued materialising crash images, counted by
-    /// `blockdev` stats wrappers. The legacy full-replay engine pays
-    /// O(W²) here; the rolling engine O(W).
+    /// Block writes issued materialising crash images: the rolling
+    /// device's advance up to the last class representative, plus one
+    /// write per torn or straggler representative. At most `writes` plus
+    /// `images_classified`; the replaying reference explorer pays O(W²).
     pub blocks_replayed: u64,
     /// Images pushed through the full recovery stack.
     pub images_classified: usize,
-    /// Crash points whose verdict came from the image-digest cache
-    /// (their image was byte-identical to an already-classified one
-    /// under the same durability contract).
-    pub cache_hits: usize,
     /// Flush barriers observed in the recorded trace.
     pub flushes_observed: usize,
     /// Classification worker threads used.
@@ -174,13 +171,15 @@ pub struct ExploreStats {
     /// materialisation.
     #[serde(default)]
     pub vec_allocs: u64,
-    /// Crash schedules the partial-order reduction proved equivalent to
-    /// an already-planned representative and therefore never
-    /// materialised (POR engine only; zero elsewhere).
+    /// Crash schedules whose planned image digest and durability
+    /// contract matched an earlier schedule's, so they share its
+    /// verdict and were never materialised
+    /// (`crash_points - por_classes`).
     #[serde(default)]
     pub schedules_pruned: usize,
-    /// Distinct image-equivalence classes the POR engine planned from
-    /// the trace (POR engine only; zero elsewhere).
+    /// Distinct (image digest, durability contract) classes planned
+    /// from the trace; each is answered by the store or by classifying
+    /// one representative.
     #[serde(default)]
     pub por_classes: usize,
     /// Verdicts answered by the persistent cross-run store.
@@ -202,8 +201,8 @@ pub struct CrashReport {
     pub flushes: usize,
     /// One entry per explored crash point.
     pub outcomes: Vec<CrashOutcome>,
-    /// I/O accounting of the exploration itself (engine-dependent;
-    /// excluded from cross-engine report equality).
+    /// Accounting of the exploration itself (depends on the store and
+    /// the thread count; excluded from report equality).
     #[serde(default)]
     pub stats: ExploreStats,
 }
@@ -233,10 +232,10 @@ impl CrashReport {
         self.outcomes.iter().map(|o| o.verdict).max().unwrap_or(Verdict::Consistent)
     }
 
-    /// A canonical, engine-independent rendering of the outcomes: one
-    /// string per crash point, sorted. Two explorations agree exactly
-    /// when their signatures are equal, regardless of engine, thread
-    /// count or cache configuration.
+    /// A canonical rendering of the outcomes: one string per crash
+    /// point, sorted. Two explorations agree exactly when their
+    /// signatures are equal, regardless of explorer, thread count or
+    /// store.
     pub fn canonical_signature(&self) -> Vec<String> {
         let mut sig: Vec<String> = self.outcomes.iter().map(|o| format!("{o:?}")).collect();
         sig.sort();
@@ -348,7 +347,7 @@ mod tests {
         };
         let mut b = a.clone();
         b.outcomes.reverse();
-        b.stats.cache_hits = 7; // stats never affect the signature
+        b.stats.schedules_pruned = 7; // stats never affect the signature
         assert_eq!(a.canonical_signature(), b.canonical_signature());
         let mut c = a.clone();
         c.outcomes[0].verdict = Verdict::DataLoss;

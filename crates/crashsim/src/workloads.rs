@@ -4,10 +4,10 @@
 //! and packages the pre-image, the trace, the durability expectations
 //! and the backup-superblock candidates into a [`Workload`].
 
-use blockdev::{MemDevice, RecordingDevice};
+use blockdev::{CowDevice, MemDevice, RecordingDevice};
 use contools::standard_image;
 use e2fstools::{backup_superblock_candidates, E4defrag, Mke2fs, Resize2fs, ToolError};
-use ext4sim::{Ext4Fs, MountOptions};
+use ext4sim::{Ext4Fs, FsError, MountOptions};
 
 use crate::IoTrace;
 
@@ -29,8 +29,10 @@ pub struct DurableExpectation {
 pub struct Workload {
     /// Name used in the report.
     pub name: String,
-    /// Device contents before the traced operation.
-    pub pre: MemDevice,
+    /// Device contents before the traced operation. Its tracked content
+    /// digest and cheap snapshots let the explorer start every run
+    /// without rescanning the image.
+    pub pre: CowDevice,
     /// The operation's write/flush stream.
     pub trace: IoTrace,
     /// File-system block size (for `e2fsck -B`).
@@ -40,6 +42,11 @@ pub struct Workload {
     /// Blocks to try with `e2fsck -b` when the primary superblock is
     /// unusable.
     pub backup_superblocks: Vec<u64>,
+}
+
+/// `dev` as a digest-tracking copy-on-write image.
+fn cow_image(dev: &MemDevice) -> Result<CowDevice, ToolError> {
+    Ok(CowDevice::from_device(dev).map_err(FsError::from)?)
 }
 
 /// Backup-superblock candidates of the file system on `dev`, or none
@@ -60,7 +67,7 @@ pub fn format_workload() -> Result<Workload, ToolError> {
     let (post, trace) = rec.into_parts();
     Ok(Workload {
         name: "mke2fs-format".to_string(),
-        pre: blank,
+        pre: cow_image(&blank)?,
         trace,
         block_size: 1024,
         expectations: Vec::new(),
@@ -88,7 +95,7 @@ pub fn figure1_resize_workload() -> Result<Workload, ToolError> {
     }
     Ok(Workload {
         name: "figure1-sparse-super2-resize".to_string(),
-        pre,
+        pre: cow_image(&pre)?,
         trace,
         block_size: 1024,
         expectations: Vec::new(),
@@ -122,7 +129,7 @@ pub fn journaled_write_workload(files: &[(String, Vec<u8>)]) -> Result<Workload,
     let (_, trace) = rec.into_parts();
     Ok(Workload {
         name: "journaled-file-writes".to_string(),
-        pre,
+        pre: cow_image(&pre)?,
         trace,
         block_size: 1024,
         // single block group: no backup superblocks exist
@@ -159,7 +166,7 @@ pub fn defrag_workload() -> Result<Workload, ToolError> {
     let backup_superblocks = candidates_from(&pre);
     Ok(Workload {
         name: "e4defrag-online".to_string(),
-        pre,
+        pre: cow_image(&pre)?,
         trace,
         block_size: 1024,
         expectations,
@@ -320,7 +327,7 @@ pub fn generated_workload(spec: &CorpusSpec) -> Result<Workload, ToolError> {
             "corpus-s{}-o{}-b{}",
             spec.seed, spec.ops, spec.max_batch_ops
         ),
-        pre,
+        pre: cow_image(&pre)?,
         trace,
         block_size: 1024,
         // single block group: no backup superblocks exist

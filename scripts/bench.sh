@@ -2,12 +2,13 @@
 # Performance benchmarks, written as BENCH_*.json at the repository
 # root:
 #
-#   * crash-exploration engines (repro_crashsim --bench →
-#     BENCH_crashsim.json): legacy sequential replay vs rolling CoW
-#     with parallel classification and the verdict cache, plus the
-#     corpus mode racing full deep-reorder enumeration against
-#     partial-order reduction with a cold and then warm persistent
-#     verdict store (--store PATH, default under $TMPDIR);
+#   * crash exploration (repro_crashsim --bench →
+#     BENCH_crashsim.json): the sequential replay reference vs the
+#     engine (trace-planned digest dedup, representatives built on a
+#     rolling CoW device, parallel classification), plus the corpus
+#     mode racing the reference's deep-reorder enumeration against the
+#     engine with a cold and then warm persistent verdict store
+#     (--store PATH, default under $TMPDIR);
 #   * taint-analysis engines (repro_analyzer --bench →
 #     BENCH_analyzer.json): naive whole-program sweep vs def-use
 #     worklist with interned taint sets, plus the analysis cache;

@@ -14,8 +14,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
-cargo test -q
+cargo build --release --workspace
+cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 
 rm -f target/tier1_corpus.vstore
@@ -27,14 +27,14 @@ with open("target/bench_smoke.json") as f:
     bench = json.load(f)
 assert bench["rows"], "bench smoke produced no rows"
 for row in bench["rows"]:
-    assert row["reports_identical"], f"engines disagreed on {row['workload']}"
-    for cfg in ("sequential", "parallel", "parallel_cached"):
+    assert row["reports_identical"], f"engine and reference disagreed on {row['workload']}"
+    for cfg in ("sequential", "parallel_cached"):
         assert row[cfg]["wall_ms"] >= 0
         assert row[cfg]["blocks_replayed"] > 0
 assert bench["all_reports_identical"]
-# corpus-scale POR smoke: pruning happened, every pruned run matched
-# the exhaustive enumeration, and the warm run over the persisted
-# store classified nothing (pure cross-run cache hits)
+# corpus-scale smoke: the dedup pruned schedules, every engine run
+# matched the reference's exhaustive enumeration, and the warm run over
+# the persisted store classified nothing (pure cross-run store hits)
 corpus = bench["corpus"]
 assert corpus["rows"], "corpus smoke produced no rows"
 for row in corpus["rows"]:

@@ -1,15 +1,17 @@
-//! Property-based equivalence of the crash-exploration engines: the
-//! rolling CoW engine with parallel classification and the image-digest
-//! verdict cache must produce reports identical to the legacy
-//! sequential full-replay baseline — canonical signatures equal, cache
-//! hits never changing a verdict — across randomized journalled
-//! workloads.
+//! Property-based equivalence of the crash-exploration engine and the
+//! replaying reference explorer: on randomized journalled workloads,
+//! under every prefix cap, with and without deep reordering, on 1 and 2
+//! threads and over a cold and a warm verdict store, the engine must
+//! produce the reference's outcomes in the reference's order — dedup
+//! and store hits never changing a verdict — while writing no more
+//! blocks.
+
+mod common;
 
 use proptest::prelude::*;
 
-use confdep_suite::crashsim::{
-    explore, journaled_write_workload, CrashReport, ExploreOptions,
-};
+use common::{race_engine_against_reference, with_missing_files, CAPS};
+use confdep_suite::crashsim::{journaled_write_workload, ExploreOptions, Verdict};
 
 /// Random small files for a journalled workload: 1–3 files with
 /// distinct names, arbitrary fill bytes and sizes that exercise the
@@ -24,57 +26,24 @@ fn workload_files() -> impl Strategy<Value = Vec<(String, Vec<u8>)>> {
     })
 }
 
-/// The engine-independent parts of a report, in enumeration order (the
-/// canonical signature only compares the sorted multiset; the engines
-/// additionally promise the same order).
-fn ordered_outcomes(report: &CrashReport) -> Vec<String> {
-    report.outcomes.iter().map(|o| format!("{o:?}")).collect()
-}
-
 proptest! {
-    // each case races four engine configurations over every crash point
-    // of a freshly recorded trace, so a handful of cases compares
-    // hundreds of classified images
-    #![proptest_config(ProptestConfig::with_cases(5))]
+    // each case races the engine against the reference under every cap
+    // and reorder setting, so a handful of cases compares thousands of
+    // classified images
+    #![proptest_config(ProptestConfig::with_cases(3))]
     #[test]
     fn all_engine_configurations_agree(files in workload_files()) {
         let w = journaled_write_workload(&files).unwrap();
-
-        let baseline = explore(&w, &ExploreOptions::sequential_baseline()).unwrap();
-        let incremental = explore(&w, &ExploreOptions {
-            threads: 1,
-            verdict_cache: false,
-            ..ExploreOptions::default()
-        }).unwrap();
-        let parallel = explore(&w, &ExploreOptions {
-            verdict_cache: false,
-            ..ExploreOptions::default().with_threads(4)
-        }).unwrap();
-        let cached = explore(&w, &ExploreOptions::default().with_threads(4)).unwrap();
-
-        // identical outcomes in identical order, engine regardless
-        let want = ordered_outcomes(&baseline);
-        prop_assert_eq!(&want, &ordered_outcomes(&incremental));
-        prop_assert_eq!(&want, &ordered_outcomes(&parallel));
-        prop_assert_eq!(&want, &ordered_outcomes(&cached));
-        prop_assert_eq!(baseline.canonical_signature(), cached.canonical_signature());
-
-        // cache hits are real work avoided, never a changed verdict:
-        // every crash point is either classified or served by the cache
-        prop_assert_eq!(
-            cached.stats.images_classified + cached.stats.cache_hits,
-            cached.outcomes.len()
-        );
-        prop_assert_eq!(baseline.stats.cache_hits, 0);
-        prop_assert!(cached.stats.images_classified <= parallel.stats.images_classified);
-
-        // the rolling engine materialises the same images with
-        // asymptotically less replay I/O
-        prop_assert!(
-            incremental.stats.blocks_replayed <= baseline.stats.blocks_replayed,
-            "incremental {} > baseline {}",
-            incremental.stats.blocks_replayed,
-            baseline.stats.blocks_replayed
-        );
+        for max_prefix_points in CAPS {
+            for deep_reorder in [false, true] {
+                let opts =
+                    ExploreOptions { max_prefix_points, deep_reorder, ..ExploreOptions::default() };
+                race_engine_against_reference(&w, &opts)?;
+            }
+        }
+        // the durability half of the dedup key
+        let lossy = with_missing_files(&w);
+        let reference = race_engine_against_reference(&lossy, &ExploreOptions::default())?;
+        prop_assert!(reference.outcomes.iter().any(|o| o.verdict == Verdict::DataLoss));
     }
 }

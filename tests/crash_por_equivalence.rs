@@ -1,22 +1,25 @@
-//! Property-based equivalence of partial-order reduction: on random
-//! generated multi-op corpora the POR engine must produce reports
-//! identical to full deep-reorder enumeration — canonical signatures
-//! and per-class verdict counts equal — while pruning schedules, and a
-//! second run over a warm verdict store must replay zero images.
+//! Property-based equivalence of the engine's trace-planned dedup on
+//! generated multi-op corpora: under every prefix cap, with and without
+//! deep reordering, on 1 and 2 threads, the engine must match the
+//! replaying reference explorer outcome for outcome while pruning
+//! schedules, and a run over a warm verdict store must build and
+//! classify nothing.
+
+mod common;
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use common::{race_engine_against_reference, with_missing_files, CAPS};
 use confdep_suite::crashsim::{
-    explore, generated_workload, CorpusSpec, ExploreOptions, OutcomeCore, VerdictStore,
+    explore, generated_workload, CorpusSpec, ExploreOptions, OutcomeCore, Verdict, VerdictStore,
 };
 
 proptest! {
-    // each case fully enumerates deep reorderings of a generated
-    // multi-op trace twice (exhaustively and pruned), then replays the
-    // pruned run against a warm store
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    // each case enumerates a generated multi-op trace under every cap
+    // and reorder setting, replaying every schedule for the reference
+    #![proptest_config(ProptestConfig::with_cases(3))]
     #[test]
     fn por_agrees_with_exhaustive_on_generated_corpora(
         seed in 0u64..u64::MAX,
@@ -24,32 +27,27 @@ proptest! {
         batch in 1u32..5,
     ) {
         let w = generated_workload(&CorpusSpec { seed, ops, max_batch_ops: batch }).unwrap();
+        for max_prefix_points in CAPS {
+            for deep_reorder in [false, true] {
+                let opts =
+                    ExploreOptions { max_prefix_points, deep_reorder, ..ExploreOptions::corpus() };
+                race_engine_against_reference(&w, &opts)?;
+            }
+        }
 
-        let exhaustive = explore(
-            &w,
-            &ExploreOptions { deep_reorder: true, ..ExploreOptions::default() }.with_threads(2),
-        ).unwrap();
-        let por = explore(&w, &ExploreOptions::corpus().with_threads(2)).unwrap();
+        // the durability half of the dedup key, under deep reordering
+        let lossy = with_missing_files(&w);
+        let reference = race_engine_against_reference(&lossy, &ExploreOptions::corpus())?;
+        prop_assert!(reference.outcomes.iter().any(|o| o.verdict == Verdict::DataLoss));
 
-        // identical classified outcomes and identical verdict-class totals
-        prop_assert_eq!(exhaustive.canonical_signature(), por.canonical_signature());
-        prop_assert_eq!(exhaustive.counts(), por.counts());
-        // the reduction actually reduced, and accounts for every schedule
-        prop_assert!(por.stats.schedules_pruned > 0);
+        // the corpus configuration enumerates deep reorderings, which the
+        // dedup collapses into fewer classes than schedules
+        let engine = explore(&w, &ExploreOptions::corpus().with_threads(2)).unwrap();
+        prop_assert!(engine.stats.schedules_pruned > 0);
         prop_assert_eq!(
-            por.stats.por_classes + por.stats.schedules_pruned,
-            por.outcomes.len()
+            engine.stats.por_classes + engine.stats.schedules_pruned,
+            engine.outcomes.len()
         );
-
-        // a second run over the same (now warm) store replays nothing
-        let store: Arc<VerdictStore<OutcomeCore>> = Arc::new(VerdictStore::in_memory(true));
-        let opts = ExploreOptions::corpus().with_threads(2).with_store(Arc::clone(&store));
-        let cold = explore(&w, &opts).unwrap();
-        let warm = explore(&w, &opts).unwrap();
-        prop_assert_eq!(cold.canonical_signature(), warm.canonical_signature());
-        prop_assert_eq!(warm.stats.images_classified, 0);
-        prop_assert_eq!(warm.stats.blocks_replayed, 0);
-        prop_assert_eq!(warm.stats.store_hits, warm.stats.por_classes);
     }
 }
 

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use confdep_suite::blockdev::{digest_device, MemDevice};
-use confdep_suite::crashsim::{explore, journaled_write_workload, ExploreOptions};
+use confdep_suite::crashsim::{explore, explore_reference, journaled_write_workload, ExploreOptions};
 use confdep_suite::e2fstools::Mke2fs;
 use confdep_suite::ext4sim::{CachePolicy, Ext4Fs, FsError, InodeNo, MountOptions};
 
@@ -149,8 +149,8 @@ proptest! {
 }
 
 /// The journaled workload is recorded through the cached (write-back)
-/// mount path; the legacy sequential-replay engine and the incremental
-/// cached engine must still agree on every crash point's verdict.
+/// mount path; the replaying reference explorer and the engine must
+/// still agree on every crash point's verdict.
 #[test]
 fn journaled_workload_verdicts_match_across_engines() {
     let files = vec![
@@ -158,7 +158,7 @@ fn journaled_workload_verdicts_match_across_engines() {
         ("beta".to_string(), vec![0x22u8; 400]),
     ];
     let workload = journaled_write_workload(&files).expect("workload builds");
-    let baseline = explore(&workload, &ExploreOptions::sequential_baseline()).expect("explores");
+    let baseline = explore_reference(&workload, &ExploreOptions::default()).expect("explores");
     let cached = explore(&workload, &ExploreOptions::default().with_threads(2)).expect("explores");
     assert_eq!(baseline.canonical_signature(), cached.canonical_signature());
     assert!(!baseline.outcomes.is_empty());
